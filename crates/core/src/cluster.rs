@@ -212,7 +212,12 @@ pub struct ClusterSpec {
     pub workload: WorkloadConfig,
     /// Latency topology.
     pub topology: TopologySpec,
-    /// Worker threads per OXII executor.
+    /// Modelled execution slots per OXII executor: how many executions'
+    /// `costs.per_tx` may overlap. The executor runs each contract on its
+    /// own thread at dispatch and holds the completion until
+    /// `max(dispatch, earliest free slot) + cost` — what a pool of this
+    /// many sleeping workers would give — under both runners (only the
+    /// clock differs). Values below 1 are treated as 1.
     pub exec_pool: usize,
     /// How many blocks an OXII executor may keep **in flight** at once,
     /// executing block `n + 1` over multi-version snapshots while block

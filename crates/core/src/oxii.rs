@@ -36,7 +36,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::never;
 use parblock_crypto::Signature;
 use parblock_depgraph::{CrossBlockIndex, DependencyGraph, ReadyTracker};
 use parblock_ledger::{Durability, Ledger, MvccState, Version};
@@ -44,7 +43,7 @@ use parblock_net::Endpoint;
 use parblock_types::{BlockNumber, ExecutionMode, Hash32, Key, NodeId, SeqNo, TxId, Value};
 
 use crate::msg::{BlockBundle, CommitMsg, ExecResult, Msg};
-use crate::pool::{Completion, ExecPool, InlineQueue, SnapshotReader, WorkItem};
+use crate::pool::{Completion, InlineQueue, SnapshotReader, WorkItem};
 use crate::quorum::NewBlockQuorum;
 use crate::shared::Shared;
 
@@ -142,14 +141,6 @@ enum OptEvent {
     Recheck { version: Version, keys: Vec<Key> },
 }
 
-/// Where this executor's contract executions run: a thread pool under
-/// the free-running runner, a virtual-time inline queue under the
-/// deterministic scheduler (DESIGN.md §10).
-pub(crate) enum ExecBackend {
-    Pool(ExecPool),
-    Inline(InlineQueue),
-}
-
 /// Per-block execution state on one executor.
 struct BlockRun {
     bundle: Arc<BlockBundle>,
@@ -182,7 +173,9 @@ impl BlockRun {
 pub(crate) struct Executor {
     shared: Arc<Shared>,
     endpoint: Endpoint<Msg>,
-    backend: ExecBackend,
+    /// Contract executions in flight: run at dispatch, each completion
+    /// held until `dispatch + cost` with at most `exec_pool` overlapping.
+    queue: InlineQueue,
     /// Multi-version blockchain state: every applied write is a versioned
     /// put at the writer's log position, so concurrent blocks read
     /// position-correct snapshots.
@@ -223,21 +216,15 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// Threaded construction: contract executions run on an
-    /// [`ExecPool`] of `spec.exec_pool` workers.
+    /// One construction for both runners. Contract executions run on
+    /// this node's own thread, at dispatch; each completion is held on
+    /// an [`InlineQueue`] until `dispatch + cost` on the cluster clock,
+    /// with at most `spec.exec_pool` modelled executions overlapping.
+    /// The threaded runner drives it from [`Executor::run`] on the wall
+    /// clock; the deterministic scheduler calls [`Executor::step`] and
+    /// advances virtual time to [`Executor::next_completion_due`].
     pub(crate) fn new(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        let backend = ExecBackend::Pool(ExecPool::new(shared.spec.exec_pool));
-        Self::with_backend(shared, endpoint, backend)
-    }
-
-    /// Deterministic construction: no worker threads; executions complete
-    /// at `dispatch + cost` in virtual time, observed via
-    /// [`Executor::step`].
-    pub(crate) fn new_stepped(shared: Arc<Shared>, endpoint: Endpoint<Msg>) -> Self {
-        Self::with_backend(shared, endpoint, ExecBackend::Inline(InlineQueue::new()))
-    }
-
-    fn with_backend(shared: Arc<Shared>, endpoint: Endpoint<Msg>, backend: ExecBackend) -> Self {
+        let queue = InlineQueue::new(shared.spec.exec_pool);
         let mut state = MvccState::with_genesis(shared.genesis.iter().cloned());
         let is_observer = endpoint.id() == shared.spec.observer();
         let commit_dests = shared.spec.peer_ids();
@@ -264,7 +251,7 @@ impl Executor {
         Executor {
             shared,
             endpoint,
-            backend,
+            queue,
             state,
             ledger,
             durability,
@@ -283,45 +270,24 @@ impl Executor {
         }
     }
 
+    /// The threaded event loop, shaped like the orderer's: block on the
+    /// mailbox until a message arrives or the next completion falls due
+    /// (capped at [`IDLE_TICK`] for the stop flag), then
+    /// [`Executor::step`]. Each event wakes the thread once.
     pub(crate) fn run(mut self) {
-        let ExecBackend::Pool(ref pool) = self.backend else {
-            unreachable!("the threaded loop requires the pool backend");
-        };
-        let completions = pool.completions().clone();
-        loop {
-            if self.shared.stop.load(Ordering::Relaxed) {
-                break;
+        while !self.shared.stop.load(Ordering::Relaxed) {
+            let wait = self
+                .queue
+                .next_due()
+                .map(|due| due.saturating_duration_since(self.shared.clock.now()))
+                .unwrap_or(IDLE_TICK)
+                .min(IDLE_TICK);
+            if let Ok(envelope) = self.endpoint.recv_timeout(wait) {
+                self.on_msg(envelope.from, envelope.msg);
             }
-            // Select over the network and the pool without borrowing self
-            // across the handler calls.
-            enum Event {
-                Net(parblock_net::Envelope<Msg>),
-                Done(Completion),
-                Idle,
-            }
-            let event = {
-                let net = self.endpoint.receiver();
-                let done = if self.runs.is_empty() {
-                    never()
-                } else {
-                    completions.clone()
-                };
-                crossbeam::select! {
-                    recv(net) -> msg => msg.map(Event::Net).unwrap_or(Event::Idle),
-                    recv(done) -> c => c.map(Event::Done).unwrap_or(Event::Idle),
-                    default(IDLE_TICK) => Event::Idle,
-                }
-            };
-            match event {
-                Event::Net(envelope) => self.on_msg(envelope.from, envelope.msg),
-                Event::Done(completion) => self.on_completion(completion),
-                Event::Idle => {}
-            }
+            self.step();
         }
         self.finalize();
-        if let ExecBackend::Pool(pool) = self.backend {
-            pool.shutdown();
-        }
     }
 
     /// Flushes end-of-run observability (the observer's durability
@@ -334,25 +300,16 @@ impl Executor {
         }
     }
 
-    /// Deterministic step: drain the mailbox, then surface every
-    /// execution whose virtual completion time has arrived. Returns how
-    /// many events (messages + completions) were handled.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pool-backed executor — stepping is only meaningful
-    /// under the inline backend.
+    /// One step: drain the mailbox, then surface every execution whose
+    /// completion time has arrived on the cluster clock. Returns how many
+    /// events (messages + completions) were handled.
     pub(crate) fn step(&mut self) -> usize {
         let mut handled = 0;
         while let Some(envelope) = self.endpoint.try_recv() {
             self.on_msg(envelope.from, envelope.msg);
             handled += 1;
         }
-        let now = self.shared.clock.now();
-        let due = match &mut self.backend {
-            ExecBackend::Inline(queue) => queue.take_due(now),
-            ExecBackend::Pool(_) => panic!("step() requires the inline backend"),
-        };
+        let due = self.queue.take_due(self.shared.clock.now());
         for completion in due {
             self.on_completion(completion);
             handled += 1;
@@ -361,20 +318,14 @@ impl Executor {
     }
 
     /// The earliest instant at which this executor has more work
-    /// (a pending virtual completion), for the scheduler's time advance.
+    /// (a pending completion), for the scheduler's time advance.
     pub(crate) fn next_completion_due(&self) -> Option<Instant> {
-        match &self.backend {
-            ExecBackend::Inline(queue) => queue.next_due(),
-            ExecBackend::Pool(_) => None,
-        }
+        self.queue.next_due()
     }
 
-    /// Whether the inline backend still holds unfinished executions.
+    /// Whether executions are still held on the completion queue.
     pub(crate) fn has_pending_work(&self) -> bool {
-        match &self.backend {
-            ExecBackend::Inline(queue) => !queue.is_empty(),
-            ExecBackend::Pool(_) => false,
-        }
+        !self.queue.is_empty()
     }
 
     // ---- oracle accessors (deterministic simulation) -------------------
@@ -627,16 +578,10 @@ impl Executor {
                     .record_at(item.tx.id(), parblock_trace::Stage::Dispatched, now);
             }
         }
-        // One handoff for the whole ready set (DESIGN.md §15): the
-        // backend is resolved once and, in deterministic mode, one clock
-        // read stamps every completion due time.
+        // One dispatch for the whole ready set (DESIGN.md §15): one
+        // clock read stamps every completion due time.
         if !items.is_empty() {
-            match &mut self.backend {
-                ExecBackend::Pool(pool) => pool.dispatch_batch(items),
-                ExecBackend::Inline(queue) => {
-                    queue.dispatch_batch(items, self.shared.clock.now());
-                }
-            }
+            self.queue.dispatch_batch(items, self.shared.clock.now());
         }
     }
 
@@ -784,10 +729,7 @@ impl Executor {
                 .trace
                 .record(item.tx.id(), parblock_trace::Stage::Dispatched);
         }
-        match &mut self.backend {
-            ExecBackend::Pool(pool) => pool.dispatch(item),
-            ExecBackend::Inline(queue) => queue.dispatch(item, self.shared.clock.now()),
-        }
+        self.queue.dispatch(item, self.shared.clock.now());
     }
 
     /// A speculative execution finished: stage its result for validation,

@@ -1,19 +1,17 @@
-//! The executor-side worker pool: parallel contract execution against
+//! The executor-side execution backend: contract execution against
 //! per-transaction read snapshots.
 //!
-//! The executor's main thread owns the blockchain state. When a
-//! transaction becomes ready it snapshots the declared read set and hands
-//! the work item to the pool; workers model the execution cost as a timed
-//! wait (see DESIGN.md §3), run the contract, and report the result back
-//! on a channel the main loop selects on.
+//! The executor's thread owns the blockchain state. When a transaction
+//! becomes ready it snapshots the declared read set and dispatches the
+//! work item to its [`InlineQueue`], which runs the contract on the spot
+//! and holds the completion until the modelled execution cost has
+//! elapsed (DESIGN.md §3).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::time::{Duration, Instant};
 
 use parblock_contracts::{ExecOutcome, SmartContract, StateReader};
 use parblock_types::{BlockNumber, Key, SeqNo, Transaction, Value};
@@ -30,7 +28,7 @@ use crate::msg::ExecResult;
 ///
 /// A read outside the declared set is a scheduling-contract violation
 /// (the dependency graph never ordered it): it is flagged, and the
-/// worker pool deterministically aborts the execution instead of
+/// execution deterministically aborts instead of
 /// silently serving a default value.
 #[derive(Debug)]
 pub(crate) struct SnapshotReader {
@@ -91,9 +89,8 @@ pub(crate) struct Completion {
     pub result: ExecResult,
 }
 
-/// Executes one work item against its snapshot (the cost model wait is
-/// the caller's concern: threaded workers sleep it, the deterministic
-/// queue charges it as a virtual completion delay instead).
+/// Executes one work item against its snapshot (the cost model is the
+/// caller's concern: [`InlineQueue`] charges it as a completion delay).
 fn execute_item(item: &WorkItem) -> Completion {
     let outcome = item.contract.execute(&item.tx, &item.snapshot);
     // A read outside the declared set executed against state the
@@ -118,96 +115,26 @@ fn execute_item(item: &WorkItem) -> Completion {
     }
 }
 
-/// A fixed pool of execution workers.
-pub(crate) struct ExecPool {
-    work_tx: Option<Sender<WorkItem>>,
-    done_rx: Receiver<Completion>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ExecPool {
-    pub(crate) fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (work_tx, work_rx) = unbounded::<WorkItem>();
-        let (done_tx, done_rx) = unbounded::<Completion>();
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("exec-worker-{i}"))
-                .spawn(move || {
-                    while let Ok(item) = work_rx.recv() {
-                        if !item.cost.is_zero() {
-                            std::thread::sleep(item.cost);
-                        }
-                        let _ = done_tx.send(execute_item(&item));
-                    }
-                })
-                .expect("spawn exec worker");
-            handles.push(handle);
-        }
-        ExecPool {
-            work_tx: Some(work_tx),
-            done_rx,
-            handles,
-        }
-    }
-
-    pub(crate) fn dispatch(&self, item: WorkItem) {
-        self.work_tx
-            .as_ref()
-            .expect("pool running")
-            .send(item)
-            .expect("workers alive");
-    }
-
-    /// Hands a whole ready set to the workers in one call: the channel
-    /// handle is resolved once and items stream out back-to-back, so a
-    /// 1000-transaction low-conflict block is one handoff, not 1000
-    /// (DESIGN.md §15).
-    pub(crate) fn dispatch_batch(&self, items: Vec<WorkItem>) {
-        let tx = self.work_tx.as_ref().expect("pool running");
-        for item in items {
-            tx.send(item).expect("workers alive");
-        }
-    }
-
-    pub(crate) fn completions(&self) -> &Receiver<Completion> {
-        &self.done_rx
-    }
-
-    /// Stops the workers (drops the work channel and joins).
-    pub(crate) fn shutdown(mut self) {
-        self.work_tx = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ExecPool {
-    fn drop(&mut self) {
-        // Closing the channel lets workers exit; joining here would risk
-        // blocking in a destructor (C-DTOR-BLOCK), so we only signal.
-        self.work_tx = None;
-    }
-}
-
-/// The deterministic execution backend (DESIGN.md §10): no worker
-/// threads. A dispatched item is executed immediately (its snapshot is
-/// already taken, so the result is position-correct regardless of when
-/// it is *observed*), and the completion is held until virtual time
-/// reaches `dispatch + cost` — the same cost model as the threaded pool,
-/// minus the host scheduler. Completions surface in `(due, dispatch
-/// order)`, a pure function of the schedule.
+/// The execution backend of every OXII executor (DESIGN.md §3, §10): no
+/// worker threads. A dispatched item is executed immediately (its
+/// snapshot is already taken, so the result is position-correct
+/// regardless of when it is *observed*), and the completion is held until
+/// `dispatch + cost` on the executor's clock — wall time under the
+/// threaded runner, virtual time under the deterministic scheduler. At
+/// most `slots` (`ClusterSpec::exec_pool`) costed executions overlap: an
+/// item's modelled run starts when the earliest slot frees up, exactly as
+/// in a FIFO pool of that many sleeping workers. Completions surface in
+/// `(due, dispatch order)`, a pure function of the schedule.
 pub(crate) struct InlineQueue {
-    pending: std::collections::BinaryHeap<std::cmp::Reverse<InlineEntry>>,
+    pending: BinaryHeap<Reverse<InlineEntry>>,
+    /// When each busy execution slot frees up; at most `slots` entries.
+    busy: BinaryHeap<Reverse<Instant>>,
+    slots: usize,
     next_ticket: u64,
 }
 
 struct InlineEntry {
-    due: std::time::Instant,
+    due: Instant,
     ticket: u64,
     completion: Completion,
 }
@@ -230,51 +157,72 @@ impl Ord for InlineEntry {
 }
 
 impl InlineQueue {
-    pub(crate) fn new() -> Self {
+    /// A queue modelling `slots` parallel execution slots (min 1).
+    pub(crate) fn new(slots: usize) -> Self {
         InlineQueue {
-            pending: std::collections::BinaryHeap::new(),
+            pending: BinaryHeap::new(),
+            busy: BinaryHeap::new(),
+            slots: slots.max(1),
             next_ticket: 0,
         }
     }
 
-    /// Executes `item` now; its completion becomes visible at
-    /// `now + item.cost`.
-    pub(crate) fn dispatch(&mut self, item: WorkItem, now: std::time::Instant) {
-        let due = now + item.cost;
+    /// When an item of `cost` dispatched at `now` completes:
+    /// `max(now, earliest free slot) + cost`, occupying that slot until
+    /// then. Zero-cost items take no slot and are due at dispatch.
+    fn reserve_slot(&mut self, cost: Duration, now: Instant) -> Instant {
+        if cost.is_zero() {
+            return now;
+        }
+        let start = if self.busy.len() < self.slots {
+            now
+        } else {
+            let Reverse(free) = self.busy.pop().expect("every slot is busy");
+            free.max(now)
+        };
+        let due = start + cost;
+        self.busy.push(Reverse(due));
+        due
+    }
+
+    /// Executes `item` now; its completion becomes visible once a slot
+    /// has run it for `item.cost`.
+    pub(crate) fn dispatch(&mut self, item: WorkItem, now: Instant) {
+        let due = self.reserve_slot(item.cost, now);
         let completion = execute_item(&item);
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.pending.push(std::cmp::Reverse(InlineEntry {
+        self.pending.push(Reverse(InlineEntry {
             due,
             ticket,
             completion,
         }));
     }
 
-    /// Dispatches a whole ready set at one instant: every completion is
-    /// due at `now + cost`, with tickets in input order. One clock read
-    /// covers the batch (per-item [`InlineQueue::dispatch`] reads agree
-    /// anyway under the virtual clock, which only advances between
-    /// settles — so batching is byte-identical, just cheaper).
-    pub(crate) fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: std::time::Instant) {
+    /// Dispatches a whole ready set at one instant, with tickets (and
+    /// slots) in input order. One clock read covers the batch (per-item
+    /// [`InlineQueue::dispatch`] reads agree anyway under the virtual
+    /// clock, which only advances between settles — so batching is
+    /// byte-identical there, just cheaper).
+    pub(crate) fn dispatch_batch(&mut self, items: Vec<WorkItem>, now: Instant) {
         for item in items {
             self.dispatch(item, now);
         }
     }
 
     /// The earliest pending completion's due time.
-    pub(crate) fn next_due(&self) -> Option<std::time::Instant> {
-        self.pending.peek().map(|std::cmp::Reverse(e)| e.due)
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.pending.peek().map(|Reverse(e)| e.due)
     }
 
     /// Removes and returns every completion due at or before `now`.
-    pub(crate) fn take_due(&mut self, now: std::time::Instant) -> Vec<Completion> {
+    pub(crate) fn take_due(&mut self, now: Instant) -> Vec<Completion> {
         let mut out = Vec::new();
-        while let Some(std::cmp::Reverse(entry)) = self.pending.peek() {
+        while let Some(Reverse(entry)) = self.pending.peek() {
             if entry.due > now {
                 break;
             }
-            let std::cmp::Reverse(entry) = self.pending.pop().expect("peeked");
+            let Reverse(entry) = self.pending.pop().expect("peeked");
             out.push(entry.completion);
         }
         out
@@ -292,33 +240,63 @@ mod tests {
 
     use super::*;
 
-    #[test]
-    fn pool_executes_and_reports() {
-        let pool = ExecPool::new(2);
+    /// A `Transfer { 1 → 2, amount }` at `seq` over `entries`.
+    fn transfer(
+        seq: u32,
+        amount: i64,
+        entries: HashMap<Key, Option<Value>>,
+        cost: Duration,
+    ) -> WorkItem {
         let contract = Arc::new(AccountingContract::new(AppId(0)));
         let op = AccountingOp::Transfer {
             from: Key(1),
             to: Key(2),
-            amount: 5,
+            amount,
         };
-        let tx = contract.transaction(ClientId(1), 0, &op);
-        // `to` is declared but absent: transfers create the destination.
-        let mut entries = HashMap::new();
-        entries.insert(Key(1), Some(Value::Int(10)));
-        entries.insert(Key(2), None);
-        pool.dispatch(WorkItem {
+        let tx = contract.transaction(ClientId(1), u64::from(seq), &op);
+        WorkItem {
             block: BlockNumber(1),
-            seq: SeqNo(0),
+            seq: SeqNo(seq),
             incarnation: 0,
             tx,
             snapshot: SnapshotReader::new(entries),
             contract,
-            cost: Duration::from_micros(50),
-        });
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+            cost,
+        }
+    }
+
+    /// A transfer over a funded source and an absent destination.
+    fn funded(seq: u32, cost: Duration) -> WorkItem {
+        transfer(
+            seq,
+            1,
+            HashMap::from([(Key(1), Some(Value::Int(10))), (Key(2), None)]),
+            cost,
+        )
+    }
+
+    /// Dispatches one item at `t0` and returns its completion, asserting
+    /// it is held exactly until `t0 + cost`.
+    fn complete_one(item: WorkItem) -> Completion {
+        let cost = item.cost;
+        let mut q = InlineQueue::new(1);
+        let t0 = Instant::now();
+        q.dispatch(item, t0);
+        assert_eq!(q.next_due(), Some(t0 + cost));
+        if !cost.is_zero() {
+            assert!(q.take_due(t0).is_empty(), "held until dispatch + cost");
+        }
+        let mut done = q.take_due(t0 + cost);
+        assert_eq!(done.len(), 1);
+        assert!(q.is_empty());
+        done.pop().expect("one completion")
+    }
+
+    #[test]
+    fn pool_executes_and_reports() {
+        // `to` is declared but absent: transfers create the destination.
+        let entries = HashMap::from([(Key(1), Some(Value::Int(10))), (Key(2), None)]);
+        let done = complete_one(transfer(0, 5, entries, Duration::from_micros(50)));
         assert_eq!(done.seq, SeqNo(0));
         match done.result {
             ExecResult::Committed(writes) => {
@@ -326,7 +304,6 @@ mod tests {
             }
             ExecResult::Aborted(r) => panic!("unexpected abort: {r}"),
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -352,37 +329,15 @@ mod tests {
 
     #[test]
     fn inline_queue_orders_completions_by_due_then_dispatch() {
-        use std::time::Instant;
-        let contract: Arc<dyn SmartContract> = Arc::new(AccountingContract::new(AppId(0)));
-        let maker = AccountingContract::new(AppId(0));
-        let item = |seq: u32, cost_us: u64| {
-            let op = AccountingOp::Transfer {
-                from: Key(1),
-                to: Key(2),
-                amount: 1,
-            };
-            let tx = maker.transaction(ClientId(1), u64::from(seq), &op);
-            WorkItem {
-                block: BlockNumber(1),
-                seq: SeqNo(seq),
-                incarnation: 0,
-                tx,
-                snapshot: SnapshotReader::new(HashMap::from([
-                    (Key(1), Some(Value::Int(10))),
-                    (Key(2), None),
-                ])),
-                contract: Arc::clone(&contract),
-                cost: Duration::from_micros(cost_us),
-            }
-        };
-        let mut q = InlineQueue::new();
+        let us = Duration::from_micros;
+        let mut q = InlineQueue::new(16);
         let t0 = Instant::now();
-        q.dispatch(item(0, 100), t0);
-        q.dispatch(item(1, 50), t0);
-        q.dispatch(item(2, 50), t0);
-        assert_eq!(q.next_due(), Some(t0 + Duration::from_micros(50)));
+        q.dispatch(funded(0, us(100)), t0);
+        q.dispatch(funded(1, us(50)), t0);
+        q.dispatch(funded(2, us(50)), t0);
+        assert_eq!(q.next_due(), Some(t0 + us(50)));
         assert!(q.take_due(t0).is_empty(), "nothing due at dispatch time");
-        let due = q.take_due(t0 + Duration::from_micros(60));
+        let due = q.take_due(t0 + us(60));
         assert_eq!(
             due.iter().map(|c| c.seq).collect::<Vec<_>>(),
             vec![SeqNo(1), SeqNo(2)],
@@ -395,29 +350,52 @@ mod tests {
     }
 
     #[test]
+    fn slot_cap_queues_the_item_past_exec_pool() {
+        let c = Duration::from_micros(500);
+        let mut q = InlineQueue::new(16);
+        let t0 = Instant::now();
+        q.dispatch_batch((0..17).map(|seq| funded(seq, c)).collect(), t0);
+        let first = q.take_due(t0 + c);
+        assert_eq!(first.len(), 16, "16 slots run 16 items at once");
+        assert_eq!(q.next_due(), Some(t0 + 2 * c), "the 17th waits for a slot");
+        assert_eq!(q.take_due(t0 + 2 * c)[0].seq, SeqNo(16));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn freed_slots_are_reused_from_the_later_dispatch_instant() {
+        let c = Duration::from_micros(500);
+        let mut q = InlineQueue::new(1);
+        let t0 = Instant::now();
+        q.dispatch(funded(0, c), t0);
+        // The slot freed at t0 + c; an item dispatched later starts then.
+        let t1 = t0 + 3 * c;
+        q.dispatch(funded(1, c), t1);
+        assert_eq!(q.take_due(t0 + c).len(), 1);
+        assert_eq!(q.next_due(), Some(t1 + c));
+    }
+
+    #[test]
+    fn zero_cost_items_are_due_at_dispatch() {
+        let mut q = InlineQueue::new(1);
+        let t0 = Instant::now();
+        // The only slot is busy; a zero-cost item still takes none.
+        q.dispatch(funded(0, Duration::from_micros(500)), t0);
+        q.dispatch(funded(1, Duration::ZERO), t0);
+        q.dispatch(funded(2, Duration::ZERO), t0);
+        let due = q.take_due(t0);
+        assert_eq!(
+            due.iter().map(|c| c.seq).collect::<Vec<_>>(),
+            vec![SeqNo(1), SeqNo(2)]
+        );
+    }
+
+    #[test]
     fn aborts_propagate() {
-        let pool = ExecPool::new(1);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
-        let op = AccountingOp::Transfer {
-            from: Key(1),
-            to: Key(2),
-            amount: 5,
-        };
-        let tx = contract.transaction(ClientId(1), 0, &op);
         // Both accounts declared but absent: source account missing.
-        pool.dispatch(WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(3),
-            incarnation: 0,
-            tx,
-            snapshot: SnapshotReader::new(HashMap::from([(Key(1), None), (Key(2), None)])),
-            contract,
-            cost: Duration::ZERO,
-        });
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+        let entries = HashMap::from([(Key(1), None), (Key(2), None)]);
+        let done = complete_one(transfer(3, 5, entries, Duration::ZERO));
+        assert_eq!(done.seq, SeqNo(3));
         match done.result {
             ExecResult::Aborted(reason) => {
                 assert!(
@@ -427,40 +405,19 @@ mod tests {
             }
             ExecResult::Committed(_) => panic!("expected abort"),
         }
-        pool.shutdown();
     }
 
     #[test]
     fn undeclared_reads_abort_instead_of_committing_on_defaults() {
-        let pool = ExecPool::new(1);
-        let contract = Arc::new(AccountingContract::new(AppId(0)));
-        let op = AccountingOp::Transfer {
-            from: Key(1),
-            to: Key(2),
-            amount: 5,
-        };
-        let tx = contract.transaction(ClientId(1), 0, &op);
         // Snapshot omits the declared keys entirely (mimics a scheduler
         // bug): previously this committed against silent defaults.
-        pool.dispatch(WorkItem {
-            block: BlockNumber(1),
-            seq: SeqNo(0),
-            incarnation: 0,
-            tx,
-            snapshot: SnapshotReader::new(HashMap::from([(Key(1), Some(Value::Int(100)))])),
-            contract,
-            cost: Duration::ZERO,
-        });
-        let done = pool
-            .completions()
-            .recv_timeout(Duration::from_secs(1))
-            .expect("completion");
+        let entries = HashMap::from([(Key(1), Some(Value::Int(100)))]);
+        let done = complete_one(transfer(0, 5, entries, Duration::ZERO));
         match done.result {
             ExecResult::Aborted(reason) => {
                 assert!(reason.contains("undeclared read"), "got: {reason}");
             }
             ExecResult::Committed(w) => panic!("must not commit on undeclared reads: {w:?}"),
         }
-        pool.shutdown();
     }
 }

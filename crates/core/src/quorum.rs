@@ -4,7 +4,7 @@
 //! specified number of matching new block messages", e.g. f + 1 under
 //! PBFT).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use parblock_crypto::{hash_wire, Signature};
@@ -22,6 +22,9 @@ struct Candidate {
 pub(crate) struct NewBlockQuorum {
     required: usize,
     candidates: BTreeMap<u64, HashMap<Hash32, Candidate>>,
+    /// Blocks at or above the caller's `next_needed` that already reached
+    /// their quorum, so later copies are dropped before any crypto.
+    admitted: BTreeSet<u64>,
 }
 
 impl NewBlockQuorum {
@@ -29,6 +32,7 @@ impl NewBlockQuorum {
         NewBlockQuorum {
             required: required.max(1),
             candidates: BTreeMap::new(),
+            admitted: BTreeSet::new(),
         }
     }
 
@@ -36,6 +40,13 @@ impl NewBlockQuorum {
     /// orderer, known orderer, valid signature over the hash, hash
     /// matches the block) and counts it. Returns the validated bundle
     /// the moment its quorum is reached.
+    ///
+    /// Copies of blocks below `next_needed` (already applied) or already
+    /// admitted are dropped *before* the signature check and the block
+    /// hash: with every orderer announcing every block, the surplus
+    /// copies would otherwise repeat that crypto per block. Candidates
+    /// below `next_needed` are pruned, so a lone late copy under a
+    /// quorum above 1 leaves nothing behind.
     pub(crate) fn admit(
         &mut self,
         shared: &Shared,
@@ -45,6 +56,11 @@ impl NewBlockQuorum {
         sig: &Signature,
         next_needed: u64,
     ) -> Option<Arc<BlockBundle>> {
+        self.prune_below(next_needed);
+        let number = bundle.block.number().0;
+        if number < next_needed || self.admitted.contains(&number) {
+            return None; // already applied or already admitted
+        }
         if from != orderer || !shared.spec.orderer_ids().contains(&orderer) {
             return None;
         }
@@ -55,10 +71,6 @@ impl NewBlockQuorum {
         if hash_wire(&bundle.block) != bundle.hash {
             return None;
         }
-        let number = bundle.block.number().0;
-        if number < next_needed {
-            return None; // already applied
-        }
         let slot = self.candidates.entry(number).or_default();
         let candidate = slot.entry(bundle.hash).or_insert_with(|| Candidate {
             bundle,
@@ -68,9 +80,24 @@ impl NewBlockQuorum {
         if candidate.signers.len() >= self.required {
             let validated = Arc::clone(&candidate.bundle);
             self.candidates.remove(&number);
+            self.admitted.insert(number);
             Some(validated)
         } else {
             None
+        }
+    }
+
+    /// Forgets candidates and admissions below `next_needed`.
+    fn prune_below(&mut self, next_needed: u64) {
+        if self
+            .candidates
+            .first_key_value()
+            .is_some_and(|(n, _)| *n < next_needed)
+        {
+            self.candidates = self.candidates.split_off(&next_needed);
+        }
+        if self.admitted.first().is_some_and(|n| *n < next_needed) {
+            self.admitted = self.admitted.split_off(&next_needed);
         }
     }
 }
@@ -104,10 +131,20 @@ mod tests {
         bundle: &Arc<BlockBundle>,
         orderer: NodeId,
     ) -> Option<Arc<BlockBundle>> {
+        announce_needing(quorum, shared, bundle, orderer, 1)
+    }
+
+    fn announce_needing(
+        quorum: &mut NewBlockQuorum,
+        shared: &Shared,
+        bundle: &Arc<BlockBundle>,
+        orderer: NodeId,
+        next_needed: u64,
+    ) -> Option<Arc<BlockBundle>> {
         let sig = shared
             .keys
             .sign(shared.spec.node_signer(orderer), &bundle.hash.0);
-        quorum.admit(shared, orderer, Arc::clone(bundle), orderer, &sig, 1)
+        quorum.admit(shared, orderer, Arc::clone(bundle), orderer, &sig, next_needed)
     }
 
     #[test]
@@ -176,5 +213,29 @@ mod tests {
         assert!(quorum
             .admit(&shared, NodeId(0), tampered, NodeId(0), &sig, 1)
             .is_none());
+    }
+
+    #[test]
+    fn surplus_copies_of_an_admitted_block_are_dropped() {
+        let (shared, bundle) = setup();
+        let mut quorum = NewBlockQuorum::new(1);
+        assert!(announce(&mut quorum, &shared, &bundle, NodeId(0)).is_some());
+        // The block waits in the caller's ready set (`next_needed` is
+        // still 1): the second and third orderers' copies change nothing.
+        assert!(announce(&mut quorum, &shared, &bundle, NodeId(1)).is_none());
+        assert!(announce(&mut quorum, &shared, &bundle, NodeId(2)).is_none());
+        assert!(quorum.candidates.is_empty(), "no candidate left behind");
+    }
+
+    #[test]
+    fn stale_candidates_are_pruned() {
+        let (shared, bundle) = setup();
+        let mut quorum = NewBlockQuorum::new(2);
+        // A lone copy short of its quorum leaves a candidate ...
+        assert!(announce(&mut quorum, &shared, &bundle, NodeId(0)).is_none());
+        assert!(quorum.candidates.contains_key(&1));
+        // ... until the caller moves past the block.
+        assert!(announce_needing(&mut quorum, &shared, &bundle, NodeId(1), 2).is_none());
+        assert!(quorum.candidates.is_empty(), "candidate below next_needed pruned");
     }
 }

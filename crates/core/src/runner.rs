@@ -378,6 +378,18 @@ mod tests {
         assert!(report.committed > 30, "committed = {}", report.committed);
     }
 
+    /// A single modelled execution slot serializes each executor's
+    /// costed executions; the queued completions must still all land.
+    #[test]
+    fn oxii_run_fixed_drains_a_backlog_through_one_execution_slot() {
+        let mut spec = quick_spec(SystemKind::Oxii);
+        spec.exec_pool = 1;
+        spec.costs = parblock_types::ExecutionCosts::per_tx(Duration::from_micros(200));
+        let report = run_fixed(&spec, 200, 20_000.0, Duration::from_secs(20));
+        assert_eq!(report.committed, 200, "aborted = {}", report.aborted);
+        assert_eq!(report.aborted, 0);
+    }
+
     #[test]
     fn oxii_with_pbft_ordering_works() {
         let spec = quick_spec(SystemKind::Oxii).with_pbft();

@@ -6,8 +6,9 @@
 //! executor state machines, the same network engine, the same stores —
 //! under a seeded, virtual-time cooperative scheduler instead:
 //!
-//! * one thread, no pools: executions complete on the virtual clock
-//!   (`dispatch + cost`), network messages deliver in `(due, seq)` order
+//! * one thread: executions complete on the virtual clock
+//!   (`dispatch + cost`, at most `exec_pool` overlapping, the same
+//!   queue the threaded executor uses on the wall clock), network messages deliver in `(due, seq)` order
 //!   via [`SimNetwork::deliver_due`], and node steps happen in a fixed
 //!   node order — the whole schedule is a pure function of
 //!   `ClusterSpec::seed` and the [`FaultPlan`];
@@ -301,7 +302,7 @@ impl SimCluster {
             .collect();
         let peers = peer_ids
             .iter()
-            .map(|&id| Some(Executor::new_stepped(Arc::clone(&shared), net.endpoint(id))))
+            .map(|&id| Some(Executor::new(Arc::clone(&shared), net.endpoint(id))))
             .collect();
         SimCluster {
             shared,
@@ -344,7 +345,7 @@ impl SimCluster {
             ));
         }
         if let Some(i) = self.peer_ids.iter().position(|&id| id == node) {
-            self.peers[i] = Some(Executor::new_stepped(
+            self.peers[i] = Some(Executor::new(
                 Arc::clone(&self.shared),
                 self.net.endpoint(node),
             ));

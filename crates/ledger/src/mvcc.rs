@@ -34,6 +34,10 @@ use crate::kv::Version;
 pub struct MvccState {
     /// Version chains, each sorted ascending by version.
     chains: HashMap<Key, Vec<(Version, Value)>>,
+    /// Exactly the keys whose chain holds more than one version: the
+    /// only chains [`MvccState::prune`] can shorten, so a seal revisits
+    /// the keys written since the last one instead of the whole state.
+    multi_version: Vec<Key>,
     /// Speculative overlay for the optimistic (Block-STM) executor:
     /// versions written by incarnations that have **not validated yet**.
     /// Visible only through [`MvccState::get_at_speculative`] — digests,
@@ -67,7 +71,12 @@ impl MvccState {
         let chain = self.chains.entry(key).or_default();
         match chain.binary_search_by_key(&version, |(v, _)| *v) {
             Ok(i) => chain[i].1 = value,
-            Err(i) => chain.insert(i, (version, value)),
+            Err(i) => {
+                chain.insert(i, (version, value));
+                if chain.len() == 2 {
+                    self.multi_version.push(key);
+                }
+            }
         }
     }
 
@@ -269,13 +278,16 @@ impl MvccState {
     /// least the newest version at or below the horizon (it is still
     /// visible to readers positioned at the horizon).
     pub fn prune(&mut self, horizon: Version) {
-        for chain in self.chains.values_mut() {
+        let chains = &mut self.chains;
+        self.multi_version.retain(|key| {
+            let chain = chains.get_mut(key).expect("tracked keys have chains");
             // Index of the first version > horizon.
             let first_after = chain.partition_point(|(v, _)| *v <= horizon);
             if first_after > 1 {
                 chain.drain(..first_after - 1);
             }
-        }
+            chain.len() > 1
+        });
     }
 }
 
@@ -341,6 +353,33 @@ mod tests {
         assert_eq!(s.version_count(Key(1)), 3);
         assert_eq!(s.read_at(Key(1), v(3, 0)), Value::Int(3));
         assert_eq!(s.read_at(Key(1), v(4, 0)), Value::Int(4));
+    }
+
+    /// Prune skips single-version chains; a chain pruned back to one
+    /// version must still be collected after it is written again, and
+    /// versions above the horizon keep their chain tracked.
+    #[test]
+    fn prune_revisits_chains_written_since_the_last_prune() {
+        let mut s = MvccState::with_genesis([(Key(1), Value::Int(0)), (Key(2), Value::Int(0))]);
+        s.put(Key(1), Value::Int(1), v(1, 0));
+        s.prune(v(1, u32::MAX));
+        assert_eq!(s.versions_of(Key(1)), vec![v(1, 0)]);
+        s.put(Key(1), Value::Int(2), v(2, 0));
+        for b in 3..=5 {
+            s.put(Key(2), Value::Int(b as i64), v(b, 0));
+        }
+        s.prune(v(2, u32::MAX));
+        assert_eq!(s.versions_of(Key(1)), vec![v(2, 0)]);
+        assert_eq!(
+            s.versions_of(Key(2)),
+            vec![Version::GENESIS, v(3, 0), v(4, 0), v(5, 0)],
+            "nothing at or below the horizon but the newest-visible version"
+        );
+        s.prune(v(4, u32::MAX));
+        assert_eq!(s.versions_of(Key(2)), vec![v(4, 0), v(5, 0)]);
+        s.prune(v(5, u32::MAX));
+        assert_eq!(s.versions_of(Key(2)), vec![v(5, 0)]);
+        assert_eq!(s.total_versions(), 2);
     }
 
     #[test]

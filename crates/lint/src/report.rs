@@ -9,7 +9,7 @@ use std::fmt;
 pub enum Rule {
     /// `Instant::now` / `SystemTime::now` outside `crates/types/src/clock.rs`.
     WallClock,
-    /// `thread::spawn` outside the executor pool and the network engine.
+    /// `thread::spawn` outside the network engine.
     ThreadSpawn,
     /// File / fsync syscalls outside `parblock_store`.
     FileIo,

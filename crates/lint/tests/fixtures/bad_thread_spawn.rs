@@ -1,6 +1,6 @@
 //@ path: crates/core/src/fixture_spawn.rs
-// Known-bad: threads spawned outside the executor pool / network
-// engine escape the deterministic simulation harness.
+// Known-bad: threads spawned outside the network engine escape the
+// deterministic simulation harness.
 fn work() {}
 
 pub fn run_detached() {

@@ -1,6 +1,6 @@
-//@ path: crates/core/src/pool.rs
-// Known-good: the executor pool is one of the two sanctioned homes of
-// thread spawns (the other is the network engine).
+//@ path: crates/network/src/engine.rs
+// Known-good: the network engine (its delivery workers) is the one
+// sanctioned home of thread spawns.
 fn work() {}
 
 pub fn spawn_worker() {

@@ -114,14 +114,6 @@ impl<M: Send + 'static> Endpoint<M> {
         })
     }
 
-    /// The raw mailbox receiver, for use with `crossbeam::select!` when a
-    /// node must multiplex network traffic with other event sources
-    /// (e.g. an execution pool's completion channel).
-    #[must_use]
-    pub fn receiver(&self) -> &Receiver<Envelope<M>> {
-        &self.rx
-    }
-
     /// Returns a pending message without blocking, if any.
     #[must_use]
     pub fn try_recv(&self) -> Option<Envelope<M>> {

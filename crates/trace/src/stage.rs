@@ -22,8 +22,8 @@ pub enum Stage {
     /// Every dependency-graph predecessor completed: the scheduler may
     /// dispatch it.
     GraphReady = 3,
-    /// An executor worker picked it up (first dispatch under
-    /// re-execution).
+    /// The executor dispatched it to an execution slot (first dispatch
+    /// under re-execution).
     Dispatched = 4,
     /// Contract execution finished (first completion; optimistic
     /// re-execution latency lands in the gap to the next stage).

@@ -257,8 +257,8 @@ impl ExecutionCosts {
 }
 
 impl Default for ExecutionCosts {
-    /// 1 ms per transaction. With the default 16-worker executor pools
-    /// this yields the paper's relative ceilings: OX ≈ 1/per_tx,
+    /// 1 ms per transaction. With the default 16 execution slots per
+    /// executor (`ClusterSpec::exec_pool`) this yields the paper's relative ceilings: OX ≈ 1/per_tx,
     /// XOV ≈ apps/per_tx, OXII ≈ pool·executors/per_tx (contention
     /// permitting) — the OXII > XOV > OX ordering of §V.
     fn default() -> Self {

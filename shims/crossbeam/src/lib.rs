@@ -1,14 +1,12 @@
-//! Offline API-subset shim for `crossbeam`: an unbounded MPMC channel and
-//! the [`select!`] macro shape the workspace uses (`recv` arms plus a
-//! `default(timeout)` arm).
+//! Offline API-subset shim for `crossbeam`: the unbounded MPMC channel
+//! the workspace uses (`unbounded`, `send`, `recv`, `try_recv`,
+//! `recv_timeout`, `len`).
 //!
 //! The channel is a `Mutex<VecDeque>` + `Condvar` queue with sender /
 //! receiver reference counting for crossbeam-compatible disconnect
 //! semantics: `recv` errors once all senders are gone and the queue is
-//! drained; `send` errors once all receivers are gone. [`select!`] is
-//! polling-based (20 µs granularity), which is indistinguishable from
-//! real blocking selection at the simulation's 500 µs idle tick. See
-//! DESIGN.md §8 for the shim policy.
+//! drained; `send` errors once all receivers are gone. See DESIGN.md §8
+//! for the shim policy.
 
 /// MPMC channels with crossbeam-shaped errors.
 pub mod channel {
@@ -80,10 +78,9 @@ pub mod channel {
         chan: Arc<Chan<T>>,
     }
 
-    /// The receiving half; cheap to clone (MPMC). A receiver returned by
-    /// [`fn@never`] carries no channel and never produces a message.
+    /// The receiving half; cheap to clone (MPMC).
     pub struct Receiver<T> {
-        chan: Option<Arc<Chan<T>>>,
+        chan: Arc<Chan<T>>,
     }
 
     /// Creates an unbounded channel.
@@ -99,15 +96,8 @@ pub mod channel {
             Sender {
                 chan: Arc::clone(&chan),
             },
-            Receiver { chan: Some(chan) },
+            Receiver { chan },
         )
-    }
-
-    /// A receiver that never yields a message and never disconnects —
-    /// a neutral arm for [`select!`](crate::select).
-    #[must_use]
-    pub fn never<T>() -> Receiver<T> {
-        Receiver { chan: None }
     }
 
     impl<T> Sender<T> {
@@ -158,13 +148,7 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or all senders disconnect.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let Some(chan) = &self.chan else {
-                // `never()`: block forever (matches crossbeam semantics;
-                // unused in practice — select! only polls).
-                loop {
-                    std::thread::park();
-                }
-            };
+            let chan = &self.chan;
             let mut queue = chan.lock();
             loop {
                 if let Some(msg) = queue.pop_front() {
@@ -182,9 +166,7 @@ pub mod channel {
 
         /// Returns a queued message without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let Some(chan) = &self.chan else {
-                return Err(TryRecvError::Empty);
-            };
+            let chan = &self.chan;
             let mut queue = chan.lock();
             match queue.pop_front() {
                 Some(msg) => Ok(msg),
@@ -197,10 +179,7 @@ pub mod channel {
 
         /// Blocks up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let Some(chan) = &self.chan else {
-                std::thread::sleep(timeout);
-                return Err(RecvTimeoutError::Timeout);
-            };
+            let chan = &self.chan;
             let deadline = Instant::now() + timeout;
             let mut queue = chan.lock();
             loop {
@@ -222,17 +201,10 @@ pub mod channel {
             }
         }
 
-        /// Typed disconnect result for the [`select!`](crate::select)
-        /// expansion (ties the `Ok` type to this receiver).
-        #[doc(hidden)]
-        pub fn __select_disconnected(&self) -> Result<T, RecvError> {
-            Err(RecvError)
-        }
-
         /// Number of queued messages.
         #[must_use]
         pub fn len(&self) -> usize {
-            self.chan.as_ref().map_or(0, |c| c.lock().len())
+            self.chan.lock().len()
         }
 
         /// Whether the queue is empty.
@@ -244,22 +216,18 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            if let Some(chan) = &self.chan {
-                chan.receivers.fetch_add(1, Ordering::Relaxed);
-            }
+            self.chan.receivers.fetch_add(1, Ordering::Relaxed);
             Receiver {
-                chan: self.chan.clone(),
+                chan: Arc::clone(&self.chan),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            if let Some(chan) = &self.chan {
-                // Serialize with in-flight sends (see Sender::send).
-                let _queue = chan.lock();
-                chan.receivers.fetch_sub(1, Ordering::AcqRel);
-            }
+            // Serialize with in-flight sends (see Sender::send).
+            let _queue = self.chan.lock();
+            self.chan.receivers.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -270,86 +238,9 @@ pub mod channel {
     }
 }
 
-/// Multiplexes `recv` arms with a `default(timeout)` arm.
-///
-/// Supports the crossbeam shape used in this workspace:
-///
-/// ```ignore
-/// crossbeam::select! {
-///     recv(rx_a) -> msg => ...,   // msg: Result<T, RecvError>
-///     recv(rx_b) -> msg => ...,
-///     default(timeout) => ...,
-/// }
-/// ```
-///
-/// Arms are polled in order every 20 µs until one is ready (a message or
-/// a disconnect) or the timeout elapses.
-#[macro_export]
-macro_rules! select {
-    // Fixed-arity entry rules (one, two, or three recv arms): receiver
-    // operands are evaluated ONCE into locals before the poll loop,
-    // matching real crossbeam, so side-effectful or allocating operand
-    // expressions are not re-run every 20 µs.
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-        )
-    }};
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      recv($rx2:expr) -> $res2:pat => $arm2:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        let __select_rx2 = &$rx2;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-            (__select_rx2, $res2, $arm2);
-        )
-    }};
-    ( recv($rx1:expr) -> $res1:pat => $arm1:expr ,
-      recv($rx2:expr) -> $res2:pat => $arm2:expr ,
-      recv($rx3:expr) -> $res3:pat => $arm3:expr ,
-      default($timeout:expr) => $default:expr $(,)? ) => {{
-        let __select_rx1 = &$rx1;
-        let __select_rx2 = &$rx2;
-        let __select_rx3 = &$rx3;
-        $crate::select!(@loop ($timeout, $default);
-            (__select_rx1, $res1, $arm1);
-            (__select_rx2, $res2, $arm2);
-            (__select_rx3, $res3, $arm3);
-        )
-    }};
-    // Internal: the poll loop over pre-bound receiver locals. The
-    // unlabeled `break`s target this `loop` across the expansion.
-    ( @loop ($timeout:expr, $default:expr); $(($rx:ident, $res:pat, $arm:expr);)+ ) => {{
-        let deadline = ::std::time::Instant::now() + $timeout;
-        loop {
-            $(
-                match $rx.try_recv() {
-                    ::std::result::Result::Ok(value) => {
-                        let $res: ::std::result::Result<_, $crate::channel::RecvError> =
-                            ::std::result::Result::Ok(value);
-                        break $arm;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                        let $res = $rx.__select_disconnected();
-                        break $arm;
-                    }
-                    ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-                }
-            )+
-            if ::std::time::Instant::now() >= deadline {
-                break $default;
-            }
-            ::std::thread::sleep(::std::time::Duration::from_micros(20));
-        }
-    }};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::{never, unbounded, RecvTimeoutError, TryRecvError};
+    use super::channel::{unbounded, RecvTimeoutError, TryRecvError};
     use std::time::Duration;
 
     #[test]
@@ -410,40 +301,5 @@ mod tests {
         }
         handle.join().unwrap();
         assert_eq!(sum, 4950);
-    }
-
-    #[test]
-    fn select_picks_ready_channel() {
-        let (tx, rx) = unbounded();
-        let silent = never::<u32>();
-        tx.send(41).unwrap();
-        let got = crate::select! {
-            recv(rx) -> msg => msg.map(|v| v + 1).unwrap_or(0),
-            recv(silent) -> msg => msg.unwrap_or(0),
-            default(Duration::from_millis(5)) => 0,
-        };
-        assert_eq!(got, 42);
-    }
-
-    #[test]
-    fn select_evaluates_receiver_operands_once() {
-        let (_tx, rx) = unbounded::<u32>();
-        let mut evals = 0;
-        let got = crate::select! {
-            recv({ evals += 1; &rx }) -> _msg => 1,
-            default(Duration::from_millis(5)) => 2,
-        };
-        assert_eq!(got, 2);
-        assert_eq!(evals, 1, "operand must not be re-evaluated per poll");
-    }
-
-    #[test]
-    fn select_falls_through_to_default() {
-        let rx = never::<u32>();
-        let got = crate::select! {
-            recv(rx) -> _msg => 1,
-            default(Duration::from_millis(5)) => 2,
-        };
-        assert_eq!(got, 2);
     }
 }
